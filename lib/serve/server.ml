@@ -146,12 +146,31 @@ let write_all fd s =
   in
   try go 0 with Unix.Unix_error _ -> ()
 
-(* tmp + rename so snapshot consumers never observe a half file *)
+(* tmp + rename so snapshot consumers never observe a half file.  Each
+   write gets its own temp file beside [path]: concurrent SNAPSHOTs
+   sharing one name would rename each other's file away.  [close_out]
+   (not [_noerr]) so a failed final flush, e.g. ENOSPC, is an error; on
+   any error the temp file is removed and [path] keeps the last good
+   snapshot. *)
 let write_atomic path f =
-  let tmp = path ^ ".tmp" in
-  let oc = open_out_bin tmp in
-  Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () -> f oc);
-  Sys.rename tmp path
+  match
+    Filename.open_temp_file ~mode:[ Open_binary ] ~perms:0o644
+      ~temp_dir:(Filename.dirname path)
+      (Filename.basename path ^ ".")
+      ".tmp"
+  with
+  | exception Sys_error e -> Error e
+  | tmp, oc -> (
+    match
+      f oc;
+      close_out oc;
+      Sys.rename tmp path
+    with
+    | () -> Ok ()
+    | exception e ->
+      close_out_noerr oc;
+      (try Sys.remove tmp with Sys_error _ -> ());
+      Error (Printf.sprintf "writing %s: %s" path (Printexc.to_string e)))
 
 let add_thread t th =
   Mutex.lock t.stats_m;
@@ -406,21 +425,25 @@ let write_snapshot t =
       | Some n -> n
       | None -> Printf.sprintf "routine_%d" r
     in
-    (match t.cfg.snapshot_profile with
-    | Some path ->
-      write_atomic path (fun oc ->
-          Profile_io.save oc ~routine_name:name_of profile)
-    | None -> ());
-    (match t.cfg.fleet_csv with
-    | Some path ->
-      let doc =
-        Fleet.render
-          ~seconds:(now () -. t.started)
-          ~name_of ~profile (clients t)
-      in
-      write_atomic path (fun oc -> output_string oc doc)
-    | None -> ());
-    Ok ()
+    let write_profile () =
+      match t.cfg.snapshot_profile with
+      | Some path ->
+        write_atomic path (fun oc ->
+            Profile_io.save oc ~routine_name:name_of profile)
+      | None -> Ok ()
+    in
+    let write_fleet () =
+      match t.cfg.fleet_csv with
+      | Some path ->
+        let doc =
+          Fleet.render
+            ~seconds:(now () -. t.started)
+            ~name_of ~profile (clients t)
+        in
+        write_atomic path (fun oc -> output_string oc doc)
+      | None -> Ok ()
+    in
+    Result.bind (write_profile ()) write_fleet
   end
 
 let request_snapshot t =

@@ -84,8 +84,11 @@ val stop : t -> unit
 (** Ask the snapshot thread to write the configured artifacts soon. *)
 val request_snapshot : t -> unit
 
-(** Write the configured snapshot artifacts now (atomically, via
-    tmp+rename); [Error] when neither output path is configured. *)
+(** Write the configured snapshot artifacts now (atomically, via a
+    uniquely named temp file and rename, so concurrent calls are safe);
+    [Error] when neither output path is configured or a write fails.  A
+    failed write leaves no temp file behind and the previous artifact in
+    place. *)
 val write_snapshot : t -> (unit, string) result
 
 (** A consistent in-memory snapshot: the merged profile and routine

@@ -46,13 +46,13 @@ let create ?(leaf_bits = 10) ?(mid_bits = 10) () =
 
 (* [get]/[set]/[exchange] do not guard against negative addresses: they
    run once per trace event, and every producer validates at its edge —
-   the codec calls [Event.Batch.validate] per decoded batch, the
-   VM allocator only hands out non-negative addresses.  [check_addr] is
-   exported for edges that take addresses from elsewhere (CLI arguments,
-   bulk [set_range]).  A negative address that slipped through cannot
-   corrupt memory: [lsr] is logical, so the top index becomes a huge
-   positive int — [get] misses the (bounds-checked) top table and reads
-   0, [set] dies in [Array.make].
+   the codec calls [Event.Batch.validate] per decoded batch, the VM
+   checks every simulated access against its address space.
+   [check_addr] is exported for edges that take addresses from
+   elsewhere (CLI arguments, bulk [set_range]).  A negative address that
+   slipped through cannot corrupt memory: [lsr] is logical, so the top
+   index becomes a huge positive int — [get] misses the (bounds-checked)
+   top table and reads 0, [set] dies in [Array.make].
 
    [unsafe_get]/[unsafe_set] on cache hits are in bounds by construction:
    a leaf has [leaf_mask + 1] entries and the index is masked. *)

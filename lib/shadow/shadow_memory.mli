@@ -19,8 +19,9 @@ val create : ?leaf_bits:int -> ?mid_bits:int -> unit -> t
 (** [check_addr addr] rejects a negative address.  The per-access
     operations below do {e not} call it: addresses are validated once at
     the trust boundary ({!Aprof_trace.Event.Batch.validate} at the
-    codec's batch edge; the VM allocator never produces negatives), so
-    edges that accept addresses from elsewhere must call this first.
+    codec's batch edge; the bounds check on every simulated access in
+    [Aprof_vm.Interp]), so edges that accept addresses from elsewhere
+    must call this first.
     @raise Invalid_argument on a negative address. *)
 val check_addr : int -> unit
 

@@ -4,6 +4,7 @@ module Trace = Aprof_trace.Trace
 module Routine_table = Aprof_trace.Routine_table
 module Vec = Aprof_util.Vec
 module Rng = Aprof_util.Rng
+module Shadow_memory = Aprof_shadow.Shadow_memory
 open Program
 
 type config = {
@@ -60,7 +61,7 @@ type state = {
   routines : Routine_table.t;
   rng : Rng.t;
   sched : Scheduler.t;
-  memory : (int, int) Hashtbl.t;
+  memory : Shadow_memory.t; (* simulated cells; unset cells read 0 *)
   mutable next_addr : int;
   mutable free_list : (int * int) list; (* (addr, len) of recycled blocks *)
   mutable allocated : int;
@@ -132,13 +133,31 @@ let make_runnable st tid k =
   th.prog <- Some (k ());
   Scheduler.enqueue st.sched tid
 
+(* The simulated address space is [0, 2^40) cells.  [Shadow_memory]
+   leaves the bounds check to its callers, and beyond the bound its top
+   table would grow until [Array.make] fails.  One logical shift tests
+   both ends: a negative address shifts to a huge positive one. *)
+let address_bits = 40
+
+let bad_address what addr =
+  if addr < 0 then fail "%s negative address %d" what addr
+  else fail "%s address %d beyond the VM address space" what addr
+
 let mem_read st addr =
-  if addr < 0 then fail "read from negative address %d" addr;
-  Option.value ~default:0 (Hashtbl.find_opt st.memory addr)
+  if addr lsr address_bits <> 0 then bad_address "read from" addr;
+  Shadow_memory.get st.memory addr
 
 let mem_write st addr v =
-  if addr < 0 then fail "write to negative address %d" addr;
-  Hashtbl.replace st.memory addr v
+  if addr lsr address_bits <> 0 then bad_address "write to" addr;
+  Shadow_memory.set st.memory addr v
+
+(* A recycled block came from a program's [Dealloc], so its bounds are
+   checked here like any other write. *)
+let mem_zero st addr len =
+  if addr lsr address_bits <> 0 then bad_address "write to" addr;
+  let last = addr + len - 1 in
+  if last lsr address_bits <> 0 then bad_address "write to" last;
+  Shadow_memory.set_range st.memory ~addr ~len 0
 
 (* Execute one DSL step of thread [th].  Returns [true] while the thread
    can keep its slice (still runnable), [false] when it blocked, exited,
@@ -222,10 +241,7 @@ let step st th =
           a
       in
       (* recycled cells must read as zero, like fresh ones *)
-      (if recycled <> None then
-         for a = base to base + n - 1 do
-           Hashtbl.remove st.memory a
-         done);
+      if recycled <> None then mem_zero st base n;
       st.allocated <- st.allocated + n;
       if st.allocated > st.high_water then st.high_water <- st.allocated;
       emit_range st Batch.tag_alloc tid ~addr:base ~len:n;
@@ -416,7 +432,7 @@ let setup config flush =
     routines = Routine_table.create ();
     rng;
     sched = Scheduler.create config.scheduler (Rng.split rng);
-    memory = Hashtbl.create 4096;
+    memory = Shadow_memory.create ();
     next_addr = 0x1000;
     free_list = [];
     allocated = 0;

@@ -31,7 +31,15 @@ type result = {
 }
 
 (** Raised on deadlock, unbalanced call/return, unknown device, negative
-    allocation, join on an unknown thread, or event-budget exhaustion. *)
+    allocation, join on an unknown thread, event-budget exhaustion, or a
+    read or write outside the simulated address space.
+
+    Simulated memory lives on the {!Aprof_shadow.Shadow_memory} page
+    table: one int per cell, unset cells read [0].  The address space is
+    [\[0, 2{^40})] cells; an access below or beyond it (including the
+    zeroing of a recycled block) raises
+    [Run_error "... address ... beyond the VM address space"] rather than
+    growing the table until it runs out of memory. *)
 exception Run_error of string
 
 (** [run config threads] executes the initial [threads] (thread ids 0, 1,

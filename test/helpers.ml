@@ -5,6 +5,12 @@ module Trace = Aprof_trace.Trace
 module Vec = Aprof_util.Vec
 module Profile = Aprof_core.Profile
 
+(* [contains ~sub s] is true when [sub] occurs in [s]. *)
+let contains ~sub s =
+  let n = String.length sub and m = String.length s in
+  let rec at i = i + n <= m && (String.sub s i n = sub || at (i + 1)) in
+  at 0
+
 let run_drms ?overflow_limit ?mode trace =
   let p = Aprof_core.Drms_profiler.create ?overflow_limit ?mode () in
   Aprof_core.Drms_profiler.run p trace;

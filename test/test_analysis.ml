@@ -10,11 +10,6 @@ module Run_meta = Aprof_analysis.Run_meta
 module Profile = Aprof_core.Profile
 module Fit = Aprof_core.Fit
 
-let contains_sub hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-  go 0
-
 (* --- synthetic battery -------------------------------------------------- *)
 
 let battery_classes : (Basis.cls * float array) list =
@@ -264,7 +259,7 @@ let test_store_versioning () =
   (match Store.of_string future with
   | Error e ->
     Alcotest.(check bool) "error names the version" true
-      (contains_sub e "unsupported")
+      (Helpers.contains ~sub:"unsupported" e)
   | Ok _ -> Alcotest.fail "future store version accepted");
   (* A file without the header is not a store. *)
   (match Store.of_string "model,drms,linear,3,1,1,1,1,1,2,1,2,r\n" with
@@ -276,7 +271,7 @@ let test_store_versioning () =
       match Store.of_string ("costmodel,1\n" ^ s) with
       | Error e ->
         Alcotest.(check bool) "mentions line" true
-          (contains_sub e "line")
+          (Helpers.contains ~sub:"line" e)
       | Ok _ -> Alcotest.failf "accepted %S" s)
     [
       "bogus,1\n";
@@ -465,7 +460,7 @@ let test_meta_discipline () =
   (match Diff.diff s1 s2 with
   | Error e ->
     Alcotest.(check bool) "names the field" true
-      (contains_sub e "scale")
+      (Helpers.contains ~sub:"scale" e)
   | Ok _ -> Alcotest.fail "incomparable scales diffed");
   (* Different seeds are comparable by design. *)
   (match

@@ -51,11 +51,6 @@ let gen_event =
     | 13 -> Event.Thread_exit { tid }
     | _ -> Event.Switch_thread { tid })
 
-let contains ~sub s =
-  let n = String.length sub and m = String.length s in
-  let rec at i = i + n <= m && (String.sub s i n = sub || at (i + 1)) in
-  at 0
-
 let decode_exn s =
   match Codec.of_string s with
   | Ok (tr, names) -> (tr, names)
@@ -184,7 +179,7 @@ let rejects_negative_addrs () =
       | Error msg ->
         Alcotest.(check bool)
           (name ^ ": error names the address") true
-          (contains ~sub:"negative address" msg));
+          (Helpers.contains ~sub:"negative address" msg));
       (* The streaming batch reader rejects too. *)
       let file = Filename.temp_file "aprof_negaddr" ".atrc" in
       Out_channel.with_open_bin file (fun oc -> output_string oc s);
@@ -211,7 +206,7 @@ let rejects_negative_addrs () =
       | Error msg ->
         Alcotest.(check bool)
           (line ^ ": text error names the address") true
-          (contains ~sub:"negative address" msg)
+          (Helpers.contains ~sub:"negative address" msg)
       | Ok _ -> Alcotest.failf "%S: text decode accepted a negative address" line)
     [ "L 0 -1"; "S 0 -9"; "U 0 -2 3"; "K 0 -2 3"; "M 0 -4 1"; "F 0 -4 1" ];
   (* Negative payloads that are not addresses still round trip. *)
@@ -234,7 +229,7 @@ let rejects_bad_ids () =
       | Ok _ -> Alcotest.failf "%s: out-of-range id was accepted" name
       | Error msg ->
         Alcotest.(check bool)
-          (name ^ ": error names the field") true (contains ~sub msg))
+          (name ^ ": error names the field") true (Helpers.contains ~sub msg))
     [
       ("negative tid", "thread id", Event.Read { tid = -1; addr = 0 });
       ( "tid beyond max_tid",
@@ -252,7 +247,8 @@ let rejects_bad_ids () =
       match Event.of_line line with
       | Error msg ->
         Alcotest.(check bool)
-          (line ^ ": text error names the field") true (contains ~sub msg)
+          (line ^ ": text error names the field")
+          true (Helpers.contains ~sub msg)
       | Ok _ -> Alcotest.failf "%S: text decode accepted an out-of-range id" line)
     [
       ("L -1 0", "thread id");
@@ -400,10 +396,10 @@ let corrupt_footer_is_named () =
         match Codec.shards ~path:file ic with
         | exception Stream.Decode_error msg ->
           Alcotest.(check bool) (name ^ ": names the file") true
-            (contains ~sub:file msg);
+            (Helpers.contains ~sub:file msg);
           if wants_offset then
             Alcotest.(check bool) (name ^ ": names a byte offset") true
-              (contains ~sub:"byte" msg)
+              (Helpers.contains ~sub:"byte" msg)
         | Some _ -> Alcotest.failf "%s: corrupt index was accepted" name
         | None -> Alcotest.failf "%s: corrupt index read as index-less" name)
   in
@@ -495,7 +491,7 @@ let rejects_noncanonical_varints () =
     | Error msg ->
       Alcotest.(check bool)
         (name ^ ": error says " ^ expect)
-        true (contains ~sub:expect msg)
+        true (Helpers.contains ~sub:expect msg)
   in
   (* Return{tid=0} is tag 0x02 then tid varint; canonical tid 0 is a
      single 0x00 byte. *)
@@ -569,7 +565,7 @@ let checksum_mismatch_detected () =
    with
   | exception Stream.Decode_error msg ->
     Alcotest.(check bool) "streaming read names the checksum" true
-      (contains ~sub:"checksum" msg)
+      (Helpers.contains ~sub:"checksum" msg)
   | () -> Alcotest.fail "streaming read accepted a corrupt chunk");
   (match
      In_channel.with_open_bin file (fun ic ->
@@ -580,7 +576,7 @@ let checksum_mismatch_detected () =
    with
   | exception Stream.Decode_error msg ->
     Alcotest.(check bool) "sharded read names the checksum" true
-      (contains ~sub:"checksum" msg && contains ~sub:file msg)
+      (Helpers.contains ~sub:"checksum" msg && Helpers.contains ~sub:file msg)
   | () -> Alcotest.fail "sharded read accepted a corrupt chunk");
   (* Salvage mode recovers every other chunk and reports the drop. *)
   let drops = ref [] in
@@ -601,7 +597,7 @@ let checksum_mismatch_detected () =
     Alcotest.(check int) "drop advertises the event count" sh.Codec.events
       d.Codec.drop_events;
     Alcotest.(check bool) "drop names the cause" true
-      (contains ~sub:"checksum" d.Codec.drop_reason)
+      (Helpers.contains ~sub:"checksum" d.Codec.drop_reason)
   | ds -> Alcotest.failf "expected exactly one drop, got %d" (List.length ds));
   Alcotest.(check int) "salvage recovers the other chunks"
     (Array.fold_left (fun acc (s : Codec.shard) -> acc + s.Codec.events) 0 shs

@@ -505,6 +505,73 @@ let test_server_salvage_keeps_stream () =
   Alcotest.(check int) "both traces folded" 2 stats.Server.s_traces;
   Alcotest.(check int) "chunk dropped" 1 stats.Server.s_drops
 
+(* Concurrent SNAPSHOTs used to share one temp name, so one writer's
+   rename could move another's file away mid-write (ERR Sys_error). *)
+let test_server_concurrent_snapshots () =
+  let s = trace_bytes ~version:2 in
+  let dir = Filename.temp_file "aprof_snap_test" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
+  let out = Filename.concat dir "snap.csv" in
+  let sock = temp_sock () in
+  let srv =
+    Server.start
+      {
+        Server.default_config with
+        unix_path = Some sock;
+        jobs = 2;
+        shards = 4;
+        snapshot_profile = Some out;
+      }
+  in
+  (* Writer [i] keeps its failures in slot [i]; read after the joins. *)
+  let failures = Array.make 8 [] in
+  let writers ~rounds =
+    List.init 8 (fun i ->
+        Thread.create
+          (fun () ->
+            for _ = 1 to rounds do
+              match Server.write_snapshot srv with
+              | Ok () -> ()
+              | Error e -> failures.(i) <- e :: failures.(i)
+              | exception e ->
+                failures.(i) <- Printexc.to_string e :: failures.(i)
+            done)
+          ())
+  in
+  (* Phase 1: snapshots race each other and the folds of live clients. *)
+  let clients =
+    List.init 4 (fun _ ->
+        Thread.create (fun () -> push_bytes ~sock ~repeat:2 s) ())
+  in
+  let racing = writers ~rounds:25 in
+  List.iter Thread.join (clients @ racing);
+  (* Phase 2: every fold is in; racing writers all write the same state. *)
+  List.iter Thread.join (writers ~rounds:5);
+  (* Checked before [Server.stop], whose own final snapshot would
+     overwrite the file. *)
+  let expected, _ = Server.snapshot srv in
+  Alcotest.(check (list string)) "every write_snapshot returned Ok" []
+    (List.concat (Array.to_list failures));
+  let leftovers =
+    List.filter
+      (fun f -> Helpers.contains ~sub:".tmp" f)
+      (Array.to_list (Sys.readdir dir))
+  in
+  Alcotest.(check (list string)) "no temp files left" [] leftovers;
+  let loaded =
+    In_channel.with_open_bin out (fun ic ->
+        match Aprof_core.Profile_io.load ic with
+        | Ok (p, _names) -> p
+        | Error e -> Alcotest.failf "snapshot does not load: %s" e)
+  in
+  Helpers.check_profiles_equal "final file = Server.snapshot" expected loaded;
+  Helpers.check_profiles_equal "and = offline merge" (expected_merge ~copies:8)
+    loaded;
+  Server.stop srv;
+  Sys.remove out;
+  Sys.rmdir dir
+
 let suite =
   [
     Alcotest.test_case "inbox: round trip and recycling" `Quick
@@ -537,6 +604,8 @@ let suite =
       test_server_differential;
     Alcotest.test_case "server: corrupt stream never perturbs others" `Quick
       test_server_corruption_isolation;
+    Alcotest.test_case "server: concurrent snapshots all land" `Quick
+      test_server_concurrent_snapshots;
     Alcotest.test_case "server: salvage keeps a damaged stream alive" `Quick
       test_server_salvage_keeps_stream;
   ]

@@ -133,6 +133,114 @@ let test_memory_and_alloc () =
   let _ = run [ prog ] in
   Alcotest.(check int) "write/read and zero default" 70 !out
 
+(* Simulated memory sits on the shadow page table: 2^10-cell leaves
+   under 2^10-entry mid tables (the default geometry).  These pin the
+   value semantics across its page boundaries and its address bound. *)
+let leaf_cells = 1 lsl 10
+let mid_cells = 1 lsl 20
+
+(* [reads_after_writes writes addrs] runs one thread that performs
+   [writes] in order, then reads [addrs]; returns the values read. *)
+let reads_after_writes writes addrs =
+  let out = ref [] in
+  let prog =
+    let* () = iter_list (fun (a, v) -> write a v) writes in
+    let* vs =
+      fold_range 0 (List.length addrs - 1) [] (fun i acc ->
+          let* v = read (List.nth addrs i) in
+          return (v :: acc))
+    in
+    out := List.rev vs;
+    return ()
+  in
+  ignore (run [ prog ]);
+  !out
+
+let test_memory_page_boundaries () =
+  let writes =
+    [
+      (3 * leaf_cells - 1, 11);  (* last cell of a leaf *)
+      (3 * leaf_cells, 12);      (* first cell of the next leaf *)
+      (mid_cells - 1, 13);       (* last cell under one mid table *)
+      (mid_cells, 14);           (* first cell under the next *)
+    ]
+  in
+  Alcotest.(check (list int)) "values on both sides of each boundary"
+    [ 11; 12; 13; 14 ]
+    (reads_after_writes writes (List.map fst writes));
+  (* A later write to one side leaves the other alone. *)
+  Alcotest.(check (list int)) "neighbours independent" [ 21; 12 ]
+    (reads_after_writes
+       (writes @ [ (3 * leaf_cells - 1, 21) ])
+       [ 3 * leaf_cells - 1; 3 * leaf_cells ])
+
+let test_memory_unset_reads_zero () =
+  Alcotest.(check (list int)) "unwritten cells read 0" [ 0; 0; 0; 0; 5 ]
+    (reads_after_writes
+       [ (3 * leaf_cells, 5) ]
+       [
+         3 * leaf_cells + 1;  (* materialized leaf, unwritten cell *)
+         (7 * leaf_cells) + 3;  (* leaf never materialized *)
+         (5 * mid_cells) + 9;  (* mid table never materialized *)
+         1 lsl 39;  (* beyond the top table's current size *)
+         3 * leaf_cells;
+       ])
+
+let test_memory_high_address () =
+  let a = 1 lsl 30 in
+  Alcotest.(check (list int)) "round trip at 2^30" [ 42; 0; 0 ]
+    (reads_after_writes [ (a, 42) ] [ a; a - 1; a + 1 ]);
+  let last = (1 lsl 40) - 1 in
+  Alcotest.(check (list int)) "last cell of the address space" [ 9 ]
+    (reads_after_writes [ (last, 9) ] [ last ])
+
+(* test_reuse checks the profilers' view of a recycled block and one
+   recycled cell's value; this reads every cell of a block whose zeroing
+   spans two shadow leaves, through both halves of a first-fit split. *)
+let test_memory_recycled_block_reads_zero () =
+  let got = ref [] in
+  let prog =
+    (* The bump allocator starts leaf-aligned: pad so the block
+       straddles a leaf boundary. *)
+    let* _pad = alloc (leaf_cells - 4) in
+    let* a = alloc 8 in
+    let* () = for_ 0 7 (fun i -> write (a + i) (100 + i)) in
+    let* () = dealloc a 8 in
+    let* b = alloc 5 in
+    let* c = alloc 3 in
+    let* vs =
+      fold_range 0 7 [] (fun i acc ->
+          let* v = read (a + i) in
+          return (v :: acc))
+    in
+    got := (b - a) :: (c - a) :: List.rev vs;
+    return ()
+  in
+  ignore (Interp.run { (config ()) with reuse_freed_memory = true } [ prog ]);
+  Alcotest.(check (list int)) "recycled at the same addresses, all zero"
+    [ 0; 5; 0; 0; 0; 0; 0; 0; 0; 0 ]
+    !got
+
+let test_memory_address_errors () =
+  let expect_error label ~needle prog =
+    match run [ prog ] with
+    | _ -> Alcotest.failf "%s: no Run_error" label
+    | exception Interp.Run_error msg ->
+      if not (Helpers.contains ~sub:needle msg) then
+        Alcotest.failf "%s: unexpected message %S" label msg
+  in
+  let beyond = "beyond the VM address space" in
+  List.iter
+    (fun (label, needle, prog) -> expect_error label ~needle prog)
+    [
+      ("negative read", "negative", map ignore (read (-1)));
+      ("negative write", "negative", write (-1) 1);
+      ("read at the bound", beyond, map ignore (read (1 lsl 40)));
+      ("write at the bound", beyond, write (1 lsl 40) 1);
+      ("read at max_int", beyond, map ignore (read max_int));
+      ("write at max_int", beyond, write max_int 1);
+    ]
+
 let test_join_and_spawn () =
   let order = ref [] in
   let prog =
@@ -465,6 +573,15 @@ let suite =
          ~print:print_sched_program gen_sched_program sched_deterministic);
     Alcotest.test_case "schedulers well-formed" `Quick test_schedulers_well_formed;
     Alcotest.test_case "memory and alloc" `Quick test_memory_and_alloc;
+    Alcotest.test_case "memory: leaf and mid boundaries" `Quick
+      test_memory_page_boundaries;
+    Alcotest.test_case "memory: unwritten cells read 0" `Quick
+      test_memory_unset_reads_zero;
+    Alcotest.test_case "memory: high addresses" `Quick test_memory_high_address;
+    Alcotest.test_case "memory: recycled block reads 0" `Quick
+      test_memory_recycled_block_reads_zero;
+    Alcotest.test_case "memory: address errors" `Quick
+      test_memory_address_errors;
     Alcotest.test_case "spawn and join" `Quick test_join_and_spawn;
     Alcotest.test_case "deadlock detection" `Quick test_deadlock_detection;
     Alcotest.test_case "unbalanced call" `Quick test_unbalanced_call;
