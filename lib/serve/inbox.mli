@@ -25,7 +25,7 @@ val create : ?capacity:int -> ?buffer_bytes:int -> unit -> t
 (** A slice for the producer's next [read]: recycled if available. *)
 val take_buffer : t -> Bytes.t
 
-(** Return a popped slice to the free list. *)
+(** Return a popped slice to the free list (dropped once closed). *)
 val recycle : t -> Bytes.t -> unit
 
 (** [push t b n] queues the first [n] bytes of [b], blocking while the
@@ -39,8 +39,8 @@ val push_eof : t -> unit
 (** Non-blocking pop; [None] when nothing is queued. *)
 val pop : t -> item option
 
-(** Consumer side is gone: drop queued items, unblock and neuter
-    producers. *)
+(** Consumer side is gone: drop queued items and free slices, unblock
+    and neuter producers. *)
 val close : t -> unit
 
 val queued_bytes : t -> int

@@ -15,6 +15,9 @@
     - {b Bounded memory}: per-connection buffering is capped by
       [inbox_bytes] plus one decoder frame; when a worker falls behind,
       the reader stops reading and the socket/peer absorb the pressure.
+      Buffers, decoder and profiler are dropped when the connection
+      ends; a finished connection keeps only the counters {!stats} and
+      {!clients} report.
     - {b Exact aggregation}: profiles are folded only at trace
       boundaries, and snapshots are trace-atomic (the fold/snapshot
       gate of {!Shard_acc}), so any snapshot equals the offline

@@ -67,7 +67,8 @@ type t = {
   mutable traces : int;
   mutable decoders : (int * decoder) list;  (* per-version reusable decoders *)
   mutable scratch : Bytes.t;  (* payload copy handed to the chunk decoder *)
-  v1_batch : Batch.t;
+  batch_size : int option;
+  mutable v1_batch : Batch.t option;  (* made by the first v1 header *)
 }
 
 (* Names travel inside records, so a corrupt length varint could demand
@@ -98,7 +99,8 @@ let create ?(salvage = false) ?(max_frame_bytes = 1 lsl 26) ?batch_size cb =
     traces = 0;
     decoders = [];
     scratch = Bytes.empty;
-    v1_batch = Batch.create ?capacity:batch_size ();
+    batch_size;
+    v1_batch = None;
   }
 
 let pending_bytes t = t.len
@@ -156,14 +158,20 @@ let step_header t =
     t.frames <- [];
     commit t 5;
     t.state <- (if t.version >= 2 then Chunks else Records);
+    if t.version = 1 && t.v1_batch = None then
+      t.v1_batch <- Some (Batch.create ?capacity:t.batch_size ());
     true
   end
 
+(* Only the [Records] state uses it, and a v1 header made it. *)
+let v1_batch t = Option.get t.v1_batch
+
 let deliver_v1 t =
-  if Batch.length t.v1_batch > 0 then begin
-    (try Batch.validate t.v1_batch with Invalid_argument m -> bad "%s" m);
-    t.cb.on_batch t.v1_batch;
-    Batch.clear t.v1_batch
+  let b = v1_batch t in
+  if Batch.length b > 0 then begin
+    (try Batch.validate b with Invalid_argument m -> bad "%s" m);
+    t.cb.on_batch b;
+    Batch.clear b
   end
 
 (* Version-1 records, one at a time: each record commits on its own (a
@@ -210,8 +218,8 @@ let step_records t =
          in
          commit t !cur;
          progress := true;
-         if Batch.is_full t.v1_batch then deliver_v1 t;
-         Batch.unsafe_push t.v1_batch ~tag ~tid ~arg ~len:ln
+         if Batch.is_full (v1_batch t) then deliver_v1 t;
+         Batch.unsafe_push (v1_batch t) ~tag ~tid ~arg ~len:ln
        end
        else bad "unknown record tag %d" tag
      done

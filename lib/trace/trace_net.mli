@@ -47,7 +47,8 @@ type t
     announcing more is treated as framing damage and fails the
     connection even under salvage (default 64 MiB).
     @param batch_size capacity of the recycled batch used for version-1
-    records (framed chunks always arrive as one whole-chunk batch). *)
+    records, made when the first version-1 header arrives (framed chunks
+    always arrive as one whole-chunk batch). *)
 val create : ?salvage:bool -> ?max_frame_bytes:int -> ?batch_size:int ->
   callbacks -> t
 

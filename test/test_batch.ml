@@ -159,6 +159,46 @@ let test_drms_allocation_budget () =
   if w >= 3.0 then
     Alcotest.failf "batched drms replay allocates %.2f minor words/event" w
 
+(* Format version 3 on a mysqlslap trace: encode and decode must also
+   stay off the minor heap per event.  Most mysqlslap literals probe the
+   pattern dictionary, and its short repeat regions decode through the
+   bounds-checked varint path, so an allocation in either shows here.
+   Scale 300 is ~64k events, enough to amortize the per-chunk tables. *)
+let test_v3_allocation_budget () =
+  let spec = Option.get (Aprof_workloads.Registry.find "mysqlslap") in
+  let result =
+    Aprof_workloads.Workload.run_spec spec ~threads:4 ~scale:300 ~seed:1
+  in
+  let trace = result.Aprof_vm.Interp.trace in
+  let n = float_of_int (Vec.length trace) in
+  let file = Filename.temp_file "aprof_v3_alloc" ".atrc" in
+  Fun.protect ~finally:(fun () -> Sys.remove file) @@ fun () ->
+  Gc.full_major ();
+  let m0 = Gc.minor_words () in
+  ignore
+    (Out_channel.with_open_bin file (fun oc ->
+         Stream.connect_batches
+           (Stream.batches_of_trace trace)
+           (Codec.batch_writer ~format_version:3 oc)));
+  let encode = (Gc.minor_words () -. m0) /. n in
+  let decode =
+    In_channel.with_open_bin file (fun ic ->
+        let _names, batches = Codec.batch_reader ic in
+        Gc.full_major ();
+        let m0 = Gc.minor_words () in
+        let rec drain k =
+          match batches () with None -> k | Some b -> drain (k + Batch.length b)
+        in
+        Alcotest.(check int) "decoded events" (Vec.length trace) (drain 0);
+        (Gc.minor_words () -. m0) /. n)
+  in
+  if encode >= 0.5 then
+    Alcotest.failf "v3 encode of mysqlslap allocates %.2f minor words/event"
+      encode;
+  if decode >= 0.5 then
+    Alcotest.failf "v3 decode of mysqlslap allocates %.2f minor words/event"
+      decode
+
 let suite =
   [
     Alcotest.test_case "push/get round-trip" `Quick test_push_get_roundtrip;
@@ -169,5 +209,7 @@ let suite =
       test_nulgrind_allocation_free;
     Alcotest.test_case "drms batched replay allocation budget" `Quick
       test_drms_allocation_budget;
+    Alcotest.test_case "v3 encode/decode allocation budget (mysqlslap)" `Quick
+      test_v3_allocation_budget;
   ]
   @ equivalence_tests ()

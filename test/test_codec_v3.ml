@@ -283,6 +283,42 @@ let v3_golden_bytes () =
     ("ATRC\x03\x08" ^ le32 ^ stored ^ "\x00")
     s
 
+(* The same pin on real workload traces, raw and with the entropy
+   stage: the tiny trace above never defines a pattern or opens a
+   repeat, so encoder work on those stages is held to these digests
+   (MD5 of the whole [to_string] output, with its length; threads 2,
+   seed 11, a per-workload scale of 7k-27k events). *)
+let v3_workload_pins =
+  [
+    ("mysqlslap", 200, false, 16596, "ddb42450779fbe54f41aa7aa0144b29d");
+    ("mysqlslap", 200, true, 7808, "bccd103d27c914098062da024538243d");
+    ("canneal", 600, false, 14938, "52ad522badb7bfffd5d13bd5e1c90e59");
+    ("canneal", 600, true, 8000, "ea4f75fce90a48f4254bb7093ca246b0");
+    ("dedup", 60, false, 18730, "ad0f4b1a4b9cb2180cd4603b78451970");
+    ("dedup", 60, true, 11336, "b99d87f50068d172544d28d717fa3c52");
+    ("blackscholes", 3000, false, 6803, "b159c5c55834ec206a4ccf8eb9a14b72");
+    ("blackscholes", 3000, true, 3002, "27204f5dae0d139127311b69fb1b7207");
+  ]
+
+let v3_workload_bytes () =
+  List.iter
+    (fun (name, scale, entropy, len, md5) ->
+      let spec = Option.get (Registry.find name) in
+      let result = Workload.run_spec spec ~threads:2 ~scale ~seed:11 in
+      let routine_name =
+        Aprof_trace.Routine_table.name result.Interp.routines
+      in
+      let s =
+        Codec.to_string ~format_version:3 ~entropy ~routine_name
+          result.Interp.trace
+      in
+      let label = Printf.sprintf "%s (entropy %b)" name entropy in
+      Alcotest.(check (pair int string))
+        (label ^ ": v3 length and MD5")
+        (len, md5)
+        (String.length s, Digest.to_hex (Digest.string s)))
+    v3_workload_pins
+
 (* --- compression smoke ------------------------------------------------ *)
 
 (* A strided sweep — the shape the delta + repeat stages exist for —
@@ -318,6 +354,8 @@ let suite =
     Alcotest.test_case "parallel replay of v3 files, -j {2,3,4}" `Slow
       parallel_v3_files;
     Alcotest.test_case "v3 byte stream is pinned" `Quick v3_golden_bytes;
+    Alcotest.test_case "v3 byte streams of workload traces are pinned" `Quick
+      v3_workload_bytes;
     Alcotest.test_case "strided sweep compresses >= 5x" `Quick
       compression_smoke;
   ]
