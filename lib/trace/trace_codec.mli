@@ -93,9 +93,19 @@
     The index version byte always equals the trace version.  The fixed
     trailer lets a reader find the footer from the end of the file; a
     file without the trailing magic is an index-less trace and still
-    reads normally (the footer is likewise skipped by the sequential
-    readers, so indexed files stay readable by old-style streaming
-    consumers of this module). *)
+    reads normally.  Every sequential reader — {!batch_reader},
+    {!of_string} and the socket-fed {!Trace_net}, for every version —
+    checks a footer it meets the same way: the chunk entries must tile
+    the record region, the trailer must point back at the footer, and on
+    framed versions the streamed frames must match the entries.  A trace
+    one of them accepts, they all accept, with the same events.
+
+    {2 Decoding}
+
+    Every reader decodes through one chunk cursor ({!Trace_chunk}) fed
+    by one frame walker ({!Trace_frame.walker}); the entry points below
+    differ only in where the bytes come from and in what a damaged chunk
+    costs.  Routine names longer than 1 MiB are malformed. *)
 
 val magic : string
 
@@ -216,7 +226,8 @@ val shards : ?path:string -> in_channel -> shard array option
 
 (** [sharded_reader ic shards ~select] is a batch source decoding, in
     file order, exactly the chunks of [shards] that [select] accepts,
-    seeking over the rest.  On version-2 files each selected chunk's
+    seeking over the rest: {!chunk_session} run over the selected
+    chunks.  On version-2 files each selected chunk's
     checksum is verified before its bytes are decoded.  Because
     routine-name definition records live in the chunk holding the
     routine's first [Call], the returned name table only covers the
@@ -232,17 +243,9 @@ val sharded_reader :
   select:(shard -> bool) ->
   (int, string) Hashtbl.t * Trace_stream.batch_source
 
-(** [seek_chunk ic sh] is [sharded_reader] over the single chunk [sh]. *)
-val seek_chunk :
-  ?path:string ->
-  ?batch_size:int ->
-  in_channel ->
-  shard ->
-  (int, string) Hashtbl.t * Trace_stream.batch_source
-
-(** [chunk_session ic] is the repeated-seek variant of {!seek_chunk} for
-    callers that claim chunks dynamically (the work-stealing replay
-    engine): [read sh] seeks to, checksums, and decodes the single
+(** [chunk_session ic] reads single chunks on demand, for callers that
+    claim chunks dynamically (the work-stealing replay engine) and for
+    {!sharded_reader}: [read sh] seeks to, checksums, and decodes the
     chunk [sh], reusing one batch, one byte buffer, and one name table
     across calls — so visiting a chunk costs no allocation beyond the
     first, largest chunk.  The name table accumulates the definitions of
@@ -333,30 +336,6 @@ val to_string :
     definition order).  All decode failures are reported as [Error]. *)
 val of_string :
   string -> (Event.t Aprof_util.Vec.t * (int * string) list, string) result
-
-(** {1 Whole-chunk decoding}
-
-    The building block behind salvage and the socket-fed reader
-    ({!Trace_net}): decode one complete framed chunk payload,
-    all-or-nothing, into a batch. *)
-
-(** [chunk_decoder ~version ()] is a reusable decoder for the chunk
-    payloads of a version-[version] trace ([2] plain records, [>= 3]
-    packed).  [decode ~defs chunk n ~events_hint] decodes the payload
-    [chunk[0..n)] (already CRC-verified by the caller) into a batch that
-    stays valid until the next call; routine-name definitions are
-    prepended to [defs] (newest first) only when the whole chunk decodes
-    cleanly.  [events_hint] presizes the batch ([-1] when unknown).
-    @raise Trace_stream.Decode_error on any malformation — the caller
-    decides whether that fails the stream or drops the chunk. *)
-val chunk_decoder :
-  version:int ->
-  unit ->
-  defs:(int * string) list ref ->
-  bytes ->
-  int ->
-  events_hint:int ->
-  Event.Batch.t
 
 (** {1 Format sniffing} *)
 

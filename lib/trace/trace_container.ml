@@ -82,7 +82,7 @@ let check_format_version v =
       (Printf.sprintf "Trace_codec: cannot write format version %d (1..%d)" v
          max_version)
 
-(* ----- seekable shard index -------------------------------------------- *)
+(* ----- reading the index ---------------------------------------------- *)
 
 type shard = {
   offset : int;
@@ -92,6 +92,71 @@ type shard = {
   crc : int;
   tids : int array;
 }
+
+(* Read one footer through [input_byte] from just after its "ATRI" magic
+   (the caller matched it) to the end of its trailer; [footer_off] is the
+   trace offset of that magic.  Every reader, seeking or streaming,
+   checks the same things: the version byte, each entry's syntax, that
+   the entries tile the record region up to the end marker, and that the
+   trailer points back at the footer. *)
+let read_footer ~trace_version ~input_byte ~footer_off =
+  let rb () =
+    match input_byte () with
+    | -1 -> bad "truncated shard index footer"
+    | b -> b
+  in
+  (match rb () with
+  | v when v = trace_version -> ()
+  | v ->
+    bad "shard index version %d does not match trace version %d" v
+      trace_version);
+  let nchunks = Trace_wire.read_varint rb in
+  if nchunks < 0 || nchunks > 1 lsl 24 then
+    bad "implausible shard index chunk count %d" nchunks;
+  let off = ref 5 in
+  (* Explicit loops: the parse order must match the byte order. *)
+  let out = ref [] in
+  for k = 0 to nchunks - 1 do
+    let bytes = Trace_wire.read_varint rb in
+    let events = Trace_wire.read_varint rb in
+    let tag_mask = Trace_wire.read_varint rb in
+    let crc = if trace_version >= 2 then Trace_wire.read_varint rb else -1 in
+    let ntids = Trace_wire.read_varint rb in
+    if
+      bytes < 0 || bytes > Trace_frame.max_chunk_payload || events < 0
+      || ntids < 0 || ntids > 0x10000
+      || (trace_version >= 2 && (crc < 0 || crc > 0xFFFFFFFF))
+    then bad "corrupt shard index entry %d" k;
+    let tids = Array.make ntids 0 in
+    let prev = ref 0 in
+    for i = 0 to ntids - 1 do
+      prev := !prev + Trace_wire.read_varint rb;
+      tids.(i) <- !prev
+    done;
+    (* [offset]/[bytes] delimit the stored payload; a version >= 2 frame
+       puts a length varint and 4 CRC bytes in front of it. *)
+    let offset =
+      if trace_version >= 2 then !off + Trace_frame.frame_overhead bytes
+      else !off
+    in
+    out := { offset; bytes; events; tag_mask; crc; tids } :: !out;
+    off := offset + bytes
+  done;
+  (* The chunks plus the end-of-trace marker must account for every byte
+     up to the footer. *)
+  if !off + 1 <> footer_off then
+    bad "shard index chunks cover %d bytes, footer at byte %d" !off footer_off;
+  let trailer = ref 0 in
+  for i = 0 to 7 do
+    trailer := !trailer lor (rb () lsl (8 * i))
+  done;
+  if !trailer <> footer_off then
+    bad "shard index trailer points at byte %d, footer is at byte %d" !trailer
+      footer_off;
+  String.iter
+    (fun c -> if rb () <> Char.code c then bad "bad shard index trailer magic")
+    index_magic;
+  Array.of_list (List.rev !out)
 
 let shards ?(path = "trace") ic =
   In_channel.seek ic 0L;
@@ -110,148 +175,61 @@ let shards ?(path = "trace") ic =
         footer_off := (!footer_off lsl 8) lor Char.code trailer.[i]
       done;
       let footer_off = !footer_off in
-      let footer_len = total - index_trailer_bytes - footer_off in
-      if footer_off < 5 + 1 || footer_len < 6 then
-        bad "cannot read shard index of %s: bad footer offset %d" path
-          footer_off;
-      In_channel.seek ic (Int64.of_int footer_off);
-      let footer = really_input_string ic footer_len in
-      let pos = ref 0 in
-      let read_byte () =
-        if !pos >= footer_len then
-          bad "cannot read shard index of %s: truncated at byte %d" path
-            (footer_off + !pos)
-        else begin
-          let b = Char.code (String.unsafe_get footer !pos) in
-          incr pos;
-          b
-        end
+      let input_byte () =
+        match In_channel.input_byte ic with Some b -> b | None -> -1
       in
-      String.iter
-        (fun c ->
-          if read_byte () <> Char.code c then
-            bad "cannot read shard index of %s: bad footer magic at byte %d"
-              path
-              (footer_off + !pos - 1))
-        index_magic;
-      (match read_byte () with
-      | v when v = trace_version -> ()
-      | v ->
-        bad
-          "cannot read shard index of %s: index version %d does not match \
-           trace version %d"
-          path v trace_version);
-      let nchunks = Trace_wire.read_varint read_byte in
-      if nchunks < 0 || nchunks > footer_len then
-        bad "cannot read shard index of %s: implausible chunk count %d" path
-          nchunks;
-      let off = ref 5 in
-      (* Explicit loops: the parse order must match the byte order. *)
-      let out = ref [] in
-      for _ = 1 to nchunks do
-        let bytes = Trace_wire.read_varint read_byte in
-        let events = Trace_wire.read_varint read_byte in
-        let tag_mask = Trace_wire.read_varint read_byte in
-        let crc =
-          if trace_version >= 2 then Trace_wire.read_varint read_byte else -1
-        in
-        let ntids = Trace_wire.read_varint read_byte in
-        if
-          bytes < 0 || events < 0 || ntids < 0 || ntids > footer_len
-          || (trace_version >= 2 && (crc < 0 || crc > 0xFFFFFFFF))
-        then
-          bad "cannot read shard index of %s: corrupt chunk entry at byte %d"
-            path
-            (footer_off + !pos);
-        let tids = Array.make ntids 0 in
-        let prev = ref 0 in
-        for i = 0 to ntids - 1 do
-          prev := !prev + Trace_wire.read_varint read_byte;
-          tids.(i) <- !prev
-        done;
-        (* [offset]/[bytes] delimit the stored payload; a version >= 2
-           frame puts a length varint and 4 CRC bytes in front of it. *)
-        let payload_off =
-          if trace_version >= 2 then
-            !off + Trace_wire.uvarint_size bytes + 4
-          else !off
-        in
-        out :=
-          { offset = payload_off; bytes; events; tag_mask; crc; tids } :: !out;
-        off := payload_off + bytes
-      done;
-      let out = Array.of_list (List.rev !out) in
-      if !pos <> footer_len then
-        bad "cannot read shard index of %s: %d trailing bytes at byte %d" path
-          (footer_len - !pos)
-          (footer_off + !pos);
-      (* The chunks plus the end-of-trace marker must account for every
-         byte up to the footer. *)
-      if !off + 1 <> footer_off then
-        bad "cannot read shard index of %s: chunks cover %d bytes, footer at %d"
-          path !off footer_off;
-      Some out
+      try
+        if footer_off < 5 + 1 || footer_off > total - index_trailer_bytes - 6
+        then bad "bad footer offset";
+        In_channel.seek ic (Int64.of_int footer_off);
+        String.iter
+          (fun c -> if input_byte () <> Char.code c then bad "bad footer magic")
+          index_magic;
+        let shs = read_footer ~trace_version ~input_byte ~footer_off in
+        if input_byte () <> -1 then bad "trailing bytes after the trailer";
+        Some shs
+      with Trace_stream.Decode_error m ->
+        bad "cannot read shard index of %s (footer at byte %d): %s" path
+          footer_off m
     end
   end
 
-(* ----- streaming footer cross-check ------------------------------------ *)
+(* ----- streaming footer check ------------------------------------------ *)
 
-(* After the end marker of a framed stream: end of file, or an index
-   footer.  A duplicated, deleted or reordered frame is internally
-   self-consistent — its own checksum still matches — so the streamed
-   frame sequence is verified against the footer, the one record of what
-   the writer actually flushed.  [frames] is the (payload bytes, crc) of
-   every streamed frame, oldest first; [footer_off] is the byte offset
-   where the footer would start.  (The seekable paths re-validate the
-   footer themselves in {!shards}.) *)
+(* The footer as a sequential reader meets it, after the end marker:
+   {!read_footer}, and then — when the reader has them — the streamed
+   frames' (payload bytes, crc), oldest first, against the entries.  A
+   duplicated, deleted or reordered frame is internally self-consistent
+   (its own checksum still matches), so the footer, the one record of
+   what the writer flushed, is what catches it.  A bare version-1 stream
+   has no frames and a salvaging reader has skipped some, so both pass
+   [None]. *)
 let check_streamed_footer ~trace_version ~input_byte ~footer_off ~frames =
+  let entries = read_footer ~trace_version ~input_byte ~footer_off in
+  match frames with
+  | None -> ()
+  | Some frames ->
+    let streamed = Array.of_list frames in
+    if Array.length streamed <> Array.length entries then
+      bad "shard index describes %d chunks, the stream carried %d"
+        (Array.length entries) (Array.length streamed);
+    Array.iteri
+      (fun k e ->
+        let bytes, crc = streamed.(k) in
+        if e.bytes <> bytes || e.crc <> crc then
+          bad "chunk %d does not match its shard index entry" k)
+      entries
+
+(* What may follow the end marker of a file or string: nothing, or one
+   footer and nothing after it. *)
+let check_end ~trace_version ~input_byte ~footer_off ~frames =
   match input_byte () with
   | -1 -> ()
-  | c when c = Char.code index_magic.[0] ->
-    for i = 1 to 3 do
-      if input_byte () <> Char.code index_magic.[i] then
-        bad "trailing data after end-of-trace marker"
-    done;
-    let rb () =
-      match input_byte () with
-      | -1 -> bad "truncated shard index footer"
-      | b -> b
-    in
-    (match rb () with
-    | v when v = trace_version -> ()
-    | v ->
-      bad "shard index version %d does not match trace version %d" v
-        trace_version);
-    let streamed = Array.of_list frames in
-    let nchunks = Trace_wire.read_varint rb in
-    if nchunks <> Array.length streamed then
-      bad "shard index describes %d chunks, the stream carried %d" nchunks
-        (Array.length streamed);
-    for k = 0 to nchunks - 1 do
-      let bytes = Trace_wire.read_varint rb in
-      (* events and tag_mask steer seeking readers, not this one. *)
-      let _events = Trace_wire.read_varint rb in
-      let _tag_mask = Trace_wire.read_varint rb in
-      let crc = Trace_wire.read_varint rb in
-      let ntids = Trace_wire.read_varint rb in
-      if ntids < 0 || ntids > 0x10000 then bad "corrupt shard index entry %d" k;
-      for _ = 1 to ntids do
-        ignore (Trace_wire.read_varint rb)
-      done;
-      let sbytes, scrc = streamed.(k) in
-      if bytes <> sbytes || crc <> scrc then
-        bad "chunk %d does not match its shard index entry" k
-    done;
-    let off = ref 0 in
-    for i = 0 to 7 do
-      off := !off lor (rb () lsl (8 * i))
-    done;
-    if !off <> footer_off then
-      bad "shard index trailer points at byte %d, footer is at byte %d" !off
-        footer_off;
-    for i = 0 to 3 do
-      if rb () <> Char.code index_magic.[i] then
-        bad "bad shard index trailer magic"
-    done;
+  | c ->
+    String.iteri
+      (fun i m ->
+        if (if i = 0 then c else input_byte ()) <> Char.code m then
+          bad "trailing data after end-of-trace marker")
+      index_magic;
+    check_streamed_footer ~trace_version ~input_byte ~footer_off ~frames;
     if input_byte () <> -1 then bad "trailing data after shard index"
-  | _ -> bad "trailing data after end-of-trace marker"

@@ -6,21 +6,24 @@
    recorded trace file verbatim, and several traces may follow each
    other back-to-back on one connection.
 
-   Memory is bounded by one frame: the machine buffers bytes only until
-   the item under the cursor (frame header + payload, one v1 record, or
-   the footer) is complete, then decodes and releases them.  Callers
-   implement backpressure on top: stop feeding when downstream is busy
-   and the kernel socket buffer fills — nothing here queues decoded
-   work.
+   This is a driver over the same two cores as the file readers: a
+   {!Trace_frame.walker} reads frame headers and checksums payloads, and
+   a {!Trace_chunk} cursor decodes them in place, straight out of the
+   pending buffer.  The machine buffers bytes only until the item under
+   the cursor (frame header + payload, the footer, or a v1 record cut by
+   the slice) is complete.  Callers implement backpressure on top: stop
+   feeding when downstream is busy and the kernel socket buffer fills —
+   nothing here queues decoded work.
 
    Corruption policy mirrors the file salvage trichotomy.  In strict
    mode the first malformation raises {!Trace_stream.Decode_error} and
-   poisons the machine.  With [~salvage:true] a damaged v2/v3 chunk is
+   poisons the machine, and chunks decode in [batch_size] fills, one
+   [on_batch] each.  With [~salvage:true] a damaged v2/v3 chunk is
    dropped whole (the frame length re-synchronizes the stream) and
-   reported through [on_drop]; damage to the framing itself — an
-   implausible length, a broken header — is beyond salvage and still
-   raises, as does any v1 malformation (bare records offer no boundary
-   to re-synchronize on). *)
+   reported through [on_drop], so chunks decode all-or-nothing; damage
+   to the framing itself — an implausible length, a broken header — is
+   beyond salvage and still raises, as does any v1 malformation (bare
+   records offer no boundary to re-synchronize on). *)
 
 module Batch = Event.Batch
 
@@ -32,8 +35,7 @@ exception Need_more
 
 type callbacks = {
   on_batch : Batch.t -> unit;
-      (* one decoded chunk (or a batch of v1 records), validated;
-         valid until the next [feed]/[close] *)
+      (* one validated batch; valid until the callback returns *)
   on_define : int -> string -> unit;  (* routine-name definition *)
   on_trace_end : unit -> unit;  (* end-of-trace marker consumed *)
   on_drop : Trace_codec.drop -> unit;
@@ -47,9 +49,6 @@ type state =
   | Records  (* version 1: bare record stream *)
   | Trailer  (* after the end marker: EOF, footer, or another trace *)
 
-type decoder =
-  defs:(int * string) list ref -> bytes -> int -> events_hint:int -> Batch.t
-
 type t = {
   cb : callbacks;
   salvage : bool;
@@ -62,24 +61,20 @@ type t = {
   mutable failed : string option;
   mutable version : int;
   mutable trace_off : int;  (* stream offset of the current trace's header *)
-  mutable chunk_ord : int;
-  mutable frames : (int * int) list;  (* streamed (paylen, crc), newest first *)
+  mutable walker : Trace_frame.walker;
   mutable traces : int;
-  mutable decoders : (int * decoder) list;  (* per-version reusable decoders *)
-  mutable scratch : Bytes.t;  (* payload copy handed to the chunk decoder *)
-  batch_size : int option;
-  mutable v1_batch : Batch.t option;  (* made by the first v1 header *)
+  cursor : Trace_chunk.t;
+  batch_size : int;
+  mutable batch : Batch.t option;  (* made at the first decoded record *)
+  stage : Batch.t ref;  (* salvage: whole-chunk batch *)
 }
-
-(* Names travel inside records, so a corrupt length varint could demand
-   gigabytes; no real routine name comes close. *)
-let max_name_bytes = 1 lsl 20
 
 (* Pending bytes a consume pass may legitimately leave behind: an
    incomplete frame (header + capped payload) or footer. *)
 let pending_slack = 64 * 1024
 
-let create ?(salvage = false) ?(max_frame_bytes = 1 lsl 26) ?batch_size cb =
+let create ?(salvage = false) ?(max_frame_bytes = 1 lsl 26)
+    ?(batch_size = Batch.default_capacity) cb =
   if max_frame_bytes < 1 || max_frame_bytes > 1 lsl 30 then
     invalid_arg "Trace_net.create: max_frame_bytes";
   {
@@ -94,13 +89,12 @@ let create ?(salvage = false) ?(max_frame_bytes = 1 lsl 26) ?batch_size cb =
     failed = None;
     version = 0;
     trace_off = 0;
-    chunk_ord = 0;
-    frames = [];
+    walker = Trace_frame.walker ~max_payload:max_frame_bytes;
     traces = 0;
-    decoders = [];
-    scratch = Bytes.empty;
+    cursor = Trace_chunk.create ();
     batch_size;
-    v1_batch = None;
+    batch = None;
+    stage = ref (Batch.create ~capacity:1 ());
   }
 
 let pending_bytes t = t.len
@@ -125,6 +119,9 @@ let append t bytes pos n =
     t.len <- t.len + n
   end
 
+(* Consumed bytes leave the pending window; they stay in [buf] until the
+   next [append], which is what lets a chunk decode in place after its
+   frame is committed. *)
 let commit t n =
   t.start <- t.start + n;
   t.len <- t.len - n;
@@ -140,208 +137,107 @@ let u8 t cur =
     b
   end
 
-let decoder t =
-  match List.assoc_opt t.version t.decoders with
-  | Some d -> d
+let batch t =
+  match t.batch with
+  | Some b -> b
   | None ->
-    let d = Trace_codec.chunk_decoder ~version:t.version () in
-    t.decoders <- (t.version, d) :: t.decoders;
-    d
+    let b = Trace_chunk.batch t.batch_size in
+    t.batch <- Some b;
+    b
+
+let deliver t =
+  match t.batch with
+  | Some b when not (Batch.is_empty b) ->
+    Trace_record.validate_batch b;
+    t.cb.on_batch b;
+    Batch.clear b
+  | _ -> ()
+
+(* Decode the payload loaded into the cursor in batch-sized fills. *)
+let drain t =
+  let b = batch t in
+  while not (Trace_chunk.fill t.cursor ~define:t.cb.on_define b) do
+    deliver t
+  done
+
+let end_trace t =
+  deliver t;
+  t.traces <- t.traces + 1;
+  t.state <- Trailer;
+  t.cb.on_trace_end ()
 
 let step_header t =
   if t.len < 5 then false
   else begin
-    let hdr = Bytes.sub_string t.buf t.start 5 in
-    t.version <- Trace_container.parse_header hdr;
+    t.version <-
+      Trace_container.parse_header (Bytes.sub_string t.buf t.start 5);
     t.trace_off <- t.off;
-    t.chunk_ord <- 0;
-    t.frames <- [];
+    t.walker <- Trace_frame.walker ~max_payload:t.max_frame_bytes;
     commit t 5;
     t.state <- (if t.version >= 2 then Chunks else Records);
-    if t.version = 1 && t.v1_batch = None then
-      t.v1_batch <- Some (Batch.create ?capacity:t.batch_size ());
     true
   end
 
-(* Only the [Records] state uses it, and a v1 header made it. *)
-let v1_batch t = Option.get t.v1_batch
-
-let deliver_v1 t =
-  let b = v1_batch t in
-  if Batch.length b > 0 then begin
-    (try Batch.validate b with Invalid_argument m -> bad "%s" m);
-    t.cb.on_batch b;
-    Batch.clear b
-  end
-
-(* Version-1 records, one at a time: each record commits on its own (a
-   mid-record shortfall rolls the cursor back to the record start), and
-   decoded events accumulate in a recycled batch that [feed] flushes
-   when the slice is drained. *)
+(* Version-1 records: the pending bytes are the cursor's window, and a
+   record the slice cut stays pending for the next feed. *)
 let step_records t =
-  let progress = ref false in
-  (try
-     while t.state = Records do
-       let cur = ref 0 in
-       let tag = u8 t cur in
-       if tag = Trace_record.end_tag then begin
-         deliver_v1 t;
-         commit t !cur;
-         progress := true;
-         t.traces <- t.traces + 1;
-         t.state <- Trailer;
-         t.cb.on_trace_end ()
-       end
-       else if tag = Trace_record.def_tag then begin
-         let id = Trace_wire.read_varint (fun () -> u8 t cur) in
-         let nlen = Trace_wire.read_varint (fun () -> u8 t cur) in
-         if nlen < 0 || nlen > max_name_bytes then
-           bad "implausible name length %d" nlen;
-         if !cur + nlen > t.len then raise Need_more;
-         let name = Bytes.sub_string t.buf (t.start + !cur) nlen in
-         cur := !cur + nlen;
-         commit t !cur;
-         progress := true;
-         t.cb.on_define id name
-       end
-       else if tag >= 1 && tag <= Batch.max_tag then begin
-         let tid = Trace_wire.read_varint (fun () -> u8 t cur) in
-         let arg =
-           if Batch.tag_has_arg tag then
-             Trace_wire.read_varint (fun () -> u8 t cur)
-           else 0
-         in
-         let ln =
-           if Batch.tag_has_len tag then
-             Trace_wire.read_varint (fun () -> u8 t cur)
-           else 0
-         in
-         commit t !cur;
-         progress := true;
-         if Batch.is_full (v1_batch t) then deliver_v1 t;
-         Batch.unsafe_push (v1_batch t) ~tag ~tid ~arg ~len:ln
-       end
-       else bad "unknown record tag %d" tag
-     done
-   with Need_more -> ());
-  !progress
+  Trace_chunk.start_stream t.cursor t.buf ~pos:t.start ~len:t.len
+    ~final:false;
+  drain t;
+  commit t (Trace_chunk.pos t.cursor - t.start);
+  if Trace_chunk.ended t.cursor then end_trace t;
+  t.state <> Records
 
-(* One framed chunk (or the end marker).  The payload is copied into a
-   recycled scratch buffer and its pending bytes committed *before* the
-   CRC check and decode, so a damaged chunk is already skipped when
+(* One framed chunk (or the end marker).  The frame is committed before
+   the checksum and decode, so a damaged chunk is already skipped when
    salvage reports it — the frame length is the re-synchronization
    point, exactly as in the file reader. *)
 let step_chunk t =
-  let parsed =
-    let cur = ref 0 in
-    try
-      let paylen = Trace_wire.read_uvarint (fun () -> u8 t cur) in
-      if paylen = 0 then `End !cur
-      else begin
-        if paylen > t.max_frame_bytes then
-          bad "chunk %d at byte %d: implausible length %d" t.chunk_ord
-            (t.off - t.trace_off) paylen;
-        let crc = ref 0 in
-        for i = 0 to 3 do
-          crc := !crc lor (u8 t cur lsl (8 * i))
-        done;
-        if !cur + paylen > t.len then raise Need_more;
-        `Frame (!cur, paylen, !crc)
-      end
-    with Need_more -> `More
-  in
-  match parsed with
-  | `More -> false
-  | `End n ->
-    commit t n;
-    t.traces <- t.traces + 1;
-    t.state <- Trailer;
-    t.cb.on_trace_end ();
-    true
-  | `Frame (hdr, paylen, crc) ->
-    let rel_off = t.off + hdr - t.trace_off in
-    let ord = t.chunk_ord in
-    t.chunk_ord <- ord + 1;
-    t.frames <- (paylen, crc) :: t.frames;
-    if Bytes.length t.scratch < paylen then
-      t.scratch <- Bytes.create (max paylen (2 * Bytes.length t.scratch));
-    Bytes.blit t.buf (t.start + hdr) t.scratch 0 paylen;
-    commit t (hdr + paylen);
-    (match
-       let context () = Printf.sprintf "chunk %d at byte %d" ord rel_off in
-       Trace_frame.check_payload ~context t.scratch ~pos:0 ~len:paylen ~crc;
-       let defs = ref [] in
-       let b = (decoder t) ~defs t.scratch paylen ~events_hint:(-1) in
-       (b, defs)
-     with
-    | b, defs ->
-      List.iter (fun (id, name) -> t.cb.on_define id name) (List.rev !defs);
-      t.cb.on_batch b
-    | exception Trace_stream.Decode_error reason ->
-      if not t.salvage then bad "%s" reason;
-      t.cb.on_drop
-        {
-          Trace_codec.drop_chunk = ord;
-          drop_offset = rel_off;
-          drop_bytes = paylen;
-          drop_events = -1;
-          drop_reason = reason;
-        });
-    true
-
-(* The shard-index footer, streamed.  In strict mode the streamed frame
-   sequence is cross-checked against the footer exactly as the file
-   reader does ({!Trace_container.check_streamed_footer}); under
-   salvage only the layout is verified (skipped frames make the
-   cross-check meaningless).  The trailer offset is checked in both
-   modes — it is trace-relative, so a client streaming a file verbatim
-   matches. *)
-let step_footer t =
+  let w = t.walker in
   let cur = ref 0 in
-  let rb () = u8 t cur in
-  let footer_rel = t.off - t.trace_off in
-  cur := 4 (* the "ATRI" magic, matched by the caller *);
-  (match rb () with
-  | v when v = t.version -> ()
-  | v ->
-    bad "shard index version %d does not match trace version %d" v t.version);
-  let strict = (not t.salvage) && t.version >= 2 in
-  let frames = if strict then Array.of_list (List.rev t.frames) else [||] in
-  let nchunks = Trace_wire.read_varint rb in
-  if nchunks < 0 || nchunks > 1 lsl 24 then
-    bad "implausible shard index chunk count %d" nchunks;
-  if strict && nchunks <> Array.length frames then
-    bad "shard index describes %d chunks, the stream carried %d" nchunks
-      (Array.length frames);
-  for k = 0 to nchunks - 1 do
-    let bytes = Trace_wire.read_varint rb in
-    let _events = Trace_wire.read_varint rb in
-    let _tag_mask = Trace_wire.read_varint rb in
-    let crc = if t.version >= 2 then Trace_wire.read_varint rb else -1 in
-    let ntids = Trace_wire.read_varint rb in
-    if ntids < 0 || ntids > 0x10000 then bad "corrupt shard index entry %d" k;
-    for _ = 1 to ntids do
-      ignore (Trace_wire.read_varint rb)
-    done;
-    if strict then begin
-      let sbytes, scrc = frames.(k) in
-      if bytes <> sbytes || crc <> scrc then
-        bad "chunk %d does not match its shard index entry" k
+  match Trace_frame.read_frame_header w ~input_byte:(fun () -> u8 t cur) with
+  | exception Need_more -> false
+  | End_marker ->
+    commit t !cur;
+    end_trace t;
+    true
+  | Frame { paylen; crc } ->
+    if !cur + paylen > t.len then false
+    else begin
+      let pos = t.start + !cur in
+      let chunk = w.ordinal in
+      let offset = w.off + !cur in
+      commit t (!cur + paylen);
+      (match
+         Trace_frame.take_frame w t.buf ~pos ~paylen ~crc;
+         Trace_chunk.start t.cursor ~version:t.version t.buf ~pos ~len:paylen;
+         if t.salvage then
+           Some (Trace_chunk.whole t.cursor ~stage:t.stage ~events_hint:(-1))
+         else begin
+           drain t;
+           None
+         end
+       with
+      | None -> ()
+      | Some (b, defs) ->
+        List.iter (fun (id, name) -> t.cb.on_define id name) defs;
+        t.cb.on_batch b
+      | exception Trace_stream.Decode_error reason when t.salvage ->
+        t.cb.on_drop
+          {
+            Trace_codec.drop_chunk = chunk;
+            drop_offset = offset;
+            drop_bytes = paylen;
+            drop_events = -1;
+            drop_reason = reason;
+          });
+      true
     end
-  done;
-  let off = ref 0 in
-  for i = 0 to 7 do
-    off := !off lor (rb () lsl (8 * i))
-  done;
-  if !off <> footer_rel then
-    bad "shard index trailer points at byte %d, footer is at byte %d" !off
-      footer_rel;
-  String.iter
-    (fun c -> if rb () <> Char.code c then bad "bad shard index trailer magic")
-    Trace_container.index_magic;
-  commit t !cur;
-  true
 
+(* After the end marker: nothing yet, another trace, or the footer —
+   checked by {!Trace_container.check_streamed_footer} exactly as the
+   file readers check it.  Under salvage the streamed frames are left
+   out of the check (skipped frames make it meaningless). *)
 let step_trailer t =
   if t.len = 0 then false
   else if Bytes.get t.buf t.start <> 'A' then
@@ -354,8 +250,21 @@ let step_trailer t =
       t.state <- Header;
       true
     end
-    else if four = Trace_container.index_magic then
-      try step_footer t with Need_more -> false
+    else if four = Trace_container.index_magic then begin
+      let cur = ref 4 in
+      match
+        Trace_container.check_streamed_footer ~trace_version:t.version
+          ~input_byte:(fun () -> u8 t cur)
+          ~footer_off:(t.off - t.trace_off)
+          ~frames:
+            (if t.salvage || t.version < 2 then None
+             else Some (List.rev t.walker.frames))
+      with
+      | () ->
+        commit t !cur;
+        true
+      | exception Need_more -> false
+    end
     else bad "trailing data after end-of-trace marker"
   end
 
@@ -373,15 +282,15 @@ let feed t bytes ~pos ~len =
     let progress = ref true in
     while !progress do
       progress :=
-        (match t.state with
+        match t.state with
         | Header -> step_header t
         | Chunks -> step_chunk t
         | Records -> step_records t
-        | Trailer -> step_trailer t)
+        | Trailer -> step_trailer t
     done;
-    (* Deliver what this slice completed even when the next record is
-       still open: a live profiler should not wait for a full batch. *)
-    if t.state = Records then deliver_v1 t;
+    (* Deliver what this slice completed even when the trace goes on: a
+       live profiler should not wait for a full batch. *)
+    deliver t;
     if t.len > t.max_frame_bytes + pending_slack then
       bad "connection buffered %d bytes without a decodable item" t.len
   with Trace_stream.Decode_error m as e ->

@@ -11,8 +11,12 @@
 
     Peak buffered memory is one frame (plus the feed slice): bytes are
     held only until the item under the cursor is complete, then decoded
-    and released.  The machine never queues decoded work — callbacks run
-    inside {!feed} — so callers implement backpressure by not feeding.
+    in place and released.  Decoding goes through the same frame walker,
+    chunk cursor and footer check as the file readers, so a byte string
+    this machine accepts is exactly one that {!Trace_codec.batch_reader}
+    and {!Trace_codec.of_string} accept, with the same events.  The
+    machine never queues decoded work — callbacks run inside {!feed} —
+    so callers implement backpressure by not feeding.
 
     Corruption follows the salvage trichotomy of {!Trace_codec.read}:
     strict mode fails the connection on the first malformation; with
@@ -23,9 +27,10 @@
 
 type callbacks = {
   on_batch : Event.Batch.t -> unit;
-      (** One validated decoded chunk (or a batch of v1 records).  The
-          batch is recycled: it is valid only until the callback
-          returns. *)
+      (** One validated batch: in strict mode up to [batch_size] events,
+          delivered when full and at the end of every {!feed} and trace;
+          under salvage, one whole framed chunk.  The batch is recycled:
+          it is valid only until the callback returns. *)
   on_define : int -> string -> unit;
       (** A routine-name definition, in stream order, always before the
           first delivered batch that could reference it. *)
@@ -46,9 +51,10 @@ type t
     @param max_frame_bytes largest acceptable chunk payload; a frame
     announcing more is treated as framing damage and fails the
     connection even under salvage (default 64 MiB).
-    @param batch_size capacity of the recycled batch used for version-1
-    records, made when the first version-1 header arrives (framed chunks
-    always arrive as one whole-chunk batch). *)
+    @param batch_size capacity of the one recycled batch strict decoding
+    fills, for every version; it is made when the first record decodes
+    (default {!Event.Batch.default_capacity}).  Salvage decodes framed
+    chunks whole, into a batch grown to the largest chunk. *)
 val create : ?salvage:bool -> ?max_frame_bytes:int -> ?batch_size:int ->
   callbacks -> t
 

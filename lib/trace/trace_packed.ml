@@ -474,10 +474,12 @@ type decoder = {
   mutable start : int;
   mutable limit : int;
   mutable d_cur_tid : int;
-  (* per-tid address history, depth 2, mirroring the encoder *)
-  d_prev : int array;
-  d_prev2 : int array;
-  d_epoch : int array;
+  (* per-tid address history, depth 2, mirroring the encoder; grown to
+     the largest thread id seen, so a decoder that met a few threads
+     holds a few words per thread rather than three 64k-entry tables *)
+  mutable d_prev : int array;
+  mutable d_prev2 : int array;
+  mutable d_epoch : int array;
   mutable d_cur_epoch : int;
   mutable d_pats : int array array;
   mutable d_npats : int;
@@ -509,9 +511,9 @@ let create_decoder () =
     start = 0;
     limit = 0;
     d_cur_tid = 0;
-    d_prev = Array.make (Event.max_tid + 1) 0;
-    d_prev2 = Array.make (Event.max_tid + 1) 0;
-    d_epoch = Array.make (Event.max_tid + 1) 0;
+    d_prev = Array.make 16 0;
+    d_prev2 = Array.make 16 0;
+    d_epoch = Array.make 16 0;
     d_cur_epoch = 1;
     d_pats = Array.make 64 [||];
     d_npats = 0;
@@ -537,6 +539,22 @@ let start_chunk d src ~pos ~len =
   d.d_cur_epoch <- d.d_cur_epoch + 1;
   d.d_npats <- 0;
   d.rep_on <- false
+
+(* Make [tid] (already checked against [Event.max_tid]) addressable in
+   the registers; fresh slots carry epoch 0, which no chunk uses. *)
+let set_tid d tid =
+  let n = Array.length d.d_epoch in
+  if tid >= n then begin
+    let n' = min (Event.max_tid + 1) (max (tid + 1) (2 * n)) in
+    let grow a =
+      let g = Array.make n' 0 in
+      Array.blit a 0 g 0 n;
+      g
+    in
+    d.d_prev <- grow d.d_prev;
+    d.d_prev2 <- grow d.d_prev2;
+    d.d_epoch <- grow d.d_epoch
+  end
 
 let[@inline] dprev2_get d tid =
   if d.d_epoch.(tid) = d.d_cur_epoch then d.d_prev2.(tid) else 0
@@ -660,6 +678,7 @@ let build_template d lo hi =
       let tid = read_region_field src p hi fast in
       if tid < 0 || tid > Event.max_tid then
         bad "packed chunk: thread id %d out of range" tid;
+      set_tid d tid;
       cur := tid
     end
     else if op = op_def then bad "packed chunk: definition inside repeat region"
@@ -826,15 +845,13 @@ let fill d ?keep ~define b =
           let tid = read_field d el fast in
           if tid < 0 || tid > Event.max_tid then
             bad "packed chunk: thread id %d out of range" tid;
+          set_tid d tid;
           d.d_cur_tid <- tid
         end
         else if op = op_def then begin
           let id = read_field d el fast in
           let nlen = read_field d el fast in
-          if nlen < 0 then bad "negative name length";
-          if !pos + nlen > el then bad "truncated name";
-          define id (Bytes.sub_string d.src !pos nlen);
-          pos := !pos + nlen
+          define id (Trace_wire.read_name d.src pos el nlen)
         end
         else if op = op_repeat then begin
           let l = read_field d el fast in

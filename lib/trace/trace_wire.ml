@@ -130,6 +130,28 @@ let[@inline always] skip_varint_bytes chunk pos =
    canonical varint of a 63-bit int is 9 bytes; 10 is a safe margin). *)
 let max_record_bytes = 34
 
+(* ----- routine names -------------------------------------------------- *)
+
+(* Names travel inside records, so a corrupt length varint could demand
+   gigabytes; no real routine name comes close.  Both event layers read
+   names through [read_name], so this is the one cap. *)
+let max_name_bytes = 1 lsl 20
+
+(* [read_name src pos limit n] takes the [n]-byte name at [!pos] below
+   [limit].  The bound is tested as [n > limit - !pos], which no hostile
+   [n] can overflow.  A name running past [limit] parks [pos] at
+   [limit]: that is how a windowed reader tells a record continuing past
+   its window from a malformed one. *)
+let read_name src pos limit n =
+  if n < 0 || n > max_name_bytes then bad "implausible name length %d" n;
+  if n > limit - !pos then begin
+    pos := limit;
+    bad "truncated name"
+  end;
+  let s = Bytes.sub_string src !pos n in
+  pos := !pos + n;
+  s
+
 (* ----- plain (non-zigzag) varints ------------------------------------- *)
 
 (* These frame the version >= 2 chunks. *)
@@ -139,13 +161,6 @@ let rec add_uvarint buf v =
   else begin
     Buffer.add_char buf (Char.unsafe_chr (v land 0x7f lor 0x80));
     add_uvarint buf (v lsr 7)
-  end
-
-let rec output_uvarint oc v =
-  if v < 0x80 then output_char oc (Char.unsafe_chr v)
-  else begin
-    output_char oc (Char.unsafe_chr (v land 0x7f lor 0x80));
-    output_uvarint oc (v lsr 7)
   end
 
 let rec uvarint_size v = if v < 0x80 then 1 else 1 + uvarint_size (v lsr 7)
@@ -170,11 +185,6 @@ let read_uvarint read_byte =
 let add_le32 buf n =
   for i = 0 to 3 do
     Buffer.add_char buf (Char.unsafe_chr ((n lsr (8 * i)) land 0xff))
-  done
-
-let output_le32 oc n =
-  for i = 0 to 3 do
-    output_char oc (Char.unsafe_chr ((n lsr (8 * i)) land 0xff))
   done
 
 let add_le64 buf n =

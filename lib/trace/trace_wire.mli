@@ -39,15 +39,24 @@ val skip_varint_bytes : Bytes.t -> int ref -> unit
     last safe start offset for unchecked reads. *)
 val max_record_bytes : int
 
+(** {1 Routine names} *)
+
+(** The largest routine name any decoder accepts (1 MiB). *)
+val max_name_bytes : int
+
+(** [read_name src pos limit n] returns the [n]-byte name at [!pos] and
+    advances past it.  A negative [n] or one above {!max_name_bytes} is
+    malformed; a name running past [limit] is truncated and leaves [pos]
+    at [limit]. *)
+val read_name : Bytes.t -> int ref -> int -> int -> string
+
 (** {1 Plain varints (frame lengths)} *)
 
 val add_uvarint : Buffer.t -> int -> unit
-val output_uvarint : out_channel -> int -> unit
 val uvarint_size : int -> int
 val read_uvarint : (unit -> int) -> int
 
 (** {1 Little-endian fixed-width fields} *)
 
 val add_le32 : Buffer.t -> int -> unit
-val output_le32 : out_channel -> int -> unit
 val add_le64 : Buffer.t -> int -> unit

@@ -8,6 +8,7 @@ module Event = Aprof_trace.Event
 module Trace = Aprof_trace.Trace
 module Stream = Aprof_trace.Trace_stream
 module Codec = Aprof_trace.Trace_codec
+module Net = Aprof_trace.Trace_net
 module Vec = Aprof_util.Vec
 
 let gen_payload =
@@ -329,16 +330,17 @@ let shard_index_round_trip () =
           trace);
   Sys.remove file
 
-let seek_chunk_reads_one_chunk () =
+let chunk_session_reads_one_chunk () =
   let trace = sample_trace 12 in
   let file = Filename.temp_file "aprof_test" ".atrc" in
   write_binary trace file;
   In_channel.with_open_bin file (fun ic ->
       let shs = Option.get (Codec.shards ~path:file ic) in
+      let _, read = Codec.chunk_session ic in
       let parts = ref [] in
       Array.iter
         (fun (sh : Codec.shard) ->
-          let _, src = Codec.seek_chunk ~path:file ic sh in
+          let src = read sh in
           let part = decode_source src in
           Alcotest.(check int) "chunk event count" sh.Codec.events
             (Vec.length part);
@@ -605,6 +607,196 @@ let checksum_mismatch_detected () =
     (Vec.length src);
   Sys.remove file
 
+(* --- one acceptance set ------------------------------------------------- *)
+
+type outcome = Accept of string list | Reject
+
+let lines_of tr = List.map Event.to_line (Vec.to_list tr)
+
+let net_outcome s ~slice =
+  let lines = ref [] in
+  let cb =
+    {
+      Net.on_batch =
+        (fun b ->
+          Event.Batch.iter_events
+            (fun e -> lines := Event.to_line e :: !lines)
+            b);
+      on_define = (fun _ _ -> ());
+      on_trace_end = ignore;
+      on_drop = ignore;
+    }
+  in
+  let net = Net.create cb in
+  let b = Bytes.of_string s in
+  match
+    let pos = ref 0 in
+    while !pos < Bytes.length b do
+      let len = min slice (Bytes.length b - !pos) in
+      Net.feed net b ~pos:!pos ~len;
+      pos := !pos + len
+    done;
+    Net.close net
+  with
+  | () -> Accept (List.rev !lines)
+  | exception Stream.Decode_error _ -> Reject
+
+let file_outcome s =
+  let file = Filename.temp_file "aprof_accept" ".atrc" in
+  Out_channel.with_open_bin file (fun oc -> output_string oc s);
+  let r =
+    match
+      In_channel.with_open_bin file (fun ic ->
+          let _, src = Codec.batch_reader ic in
+          decode_source src)
+    with
+    | tr -> Accept (lines_of tr)
+    | exception Stream.Decode_error _ -> Reject
+  in
+  Sys.remove file;
+  r
+
+(* Every sequential reader accepts exactly the same byte strings, with
+   the same events: a footer is checked the same way whether it reaches
+   the channel reader, [of_string] or the socket reader, whole or byte by
+   byte, and on every version. *)
+let one_acceptance_set () =
+  let trace = sample_trace 17 in
+  let file = Filename.temp_file "aprof_accept" ".atrc" in
+  List.iter
+    (fun version ->
+      write_binary ~format_version:version trace file;
+      let s = In_channel.with_open_bin file In_channel.input_all in
+      let total = String.length s in
+      let footer_off =
+        let v = ref 0 in
+        for i = 7 downto 0 do
+          v := (!v lsl 8) lor Char.code s.[total - 12 + i]
+        done;
+        !v
+      in
+      let set i c = String.mapi (fun j x -> if j = i then c else x) s in
+      (* The chunk count is a one-byte zigzag varint after "ATRI" and
+         the version byte; +2 counts one chunk more. *)
+      let count = Char.code s.[footer_off + 5] in
+      Alcotest.(check bool) "one-byte chunk count" true (count < 0x7e);
+      let cases =
+        [
+          ("pristine", s, Accept (lines_of trace));
+          ("chunk count", set (footer_off + 5) (Char.chr (count + 2)), Reject);
+          ( "trailer offset",
+            set (total - 12) (Char.chr (Char.code s.[total - 12] lxor 1)),
+            Reject );
+          ("trailing junk", s ^ "x", Reject);
+        ]
+      in
+      List.iter
+        (fun (name, bytes, expected) ->
+          let of_string =
+            match Codec.of_string bytes with
+            | Ok (tr, _) -> Accept (lines_of tr)
+            | Error _ -> Reject
+          in
+          List.iter
+            (fun (reader, got) ->
+              if got <> expected then
+                Alcotest.failf "v%d %s: %s %s" version name reader
+                  (match got with Accept _ -> "accepts" | Reject -> "rejects"))
+            [
+              ("batch_reader", file_outcome bytes);
+              ("of_string", of_string);
+              ("Trace_net (whole)", net_outcome bytes ~slice:max_int);
+              ("Trace_net (1-byte slices)", net_outcome bytes ~slice:1);
+            ])
+        cases)
+    [ 1; 2; 3 ];
+  Sys.remove file
+
+(* --- hostile name lengths ---------------------------------------------- *)
+
+(* A definition record announcing a name no buffer could hold: every
+   entry point must refuse it as a decode error, not fail in an
+   allocation sized by it (Invalid_argument, Out_of_memory) or let it
+   overflow a bounds test. *)
+let hostile_traces =
+  let varint n =
+    let b = Buffer.create 10 in
+    Aprof_trace.Trace_wire.add_varint b n;
+    Buffer.contents b
+  in
+  let def len = "\x0f\x00" ^ varint len in
+  let frame payload =
+    let crc =
+      Aprof_util.Crc32c.digest_string payload ~pos:0
+        ~len:(String.length payload)
+    in
+    String.make 1 (Char.chr (String.length payload))
+    ^ String.init 4 (fun i -> Char.chr ((crc lsr (8 * i)) land 0xff))
+    ^ payload
+  in
+  [
+    ("v1, name length 2^59", "ATRC\x01" ^ def (1 lsl 59));
+    ("v1, name length 2^40", "ATRC\x01" ^ def (1 lsl 40));
+    ("v2, name length max_int", "ATRC\x02" ^ frame (def max_int) ^ "\x00");
+    ( "v3, name length max_int",
+      "ATRC\x03" ^ frame ("\x01" ^ def max_int) ^ "\x00" );
+  ]
+
+let hostile_name_lengths () =
+  Alcotest.(check int) "the v1 case is 16 bytes" 16
+    (String.length (List.assoc "v1, name length 2^59" hostile_traces));
+  let file = Filename.temp_file "aprof_hostile" ".atrc" in
+  List.iter
+    (fun (name, s) ->
+      let v1 = s.[4] = '\x01' in
+      Out_channel.with_open_bin file (fun oc -> output_string oc s);
+      (match Codec.of_string s with
+      | Ok _ -> Alcotest.failf "%s: of_string accepted it" name
+      | Error _ -> ());
+      if file_outcome s <> Reject then
+        Alcotest.failf "%s: batch_reader accepted it" name;
+      List.iter
+        (fun slice ->
+          if net_outcome s ~slice <> Reject then
+            Alcotest.failf "%s: Trace_net accepted it (slice %d)" name slice)
+        [ 1; max_int ];
+      (* Salvage drops the damage once and delivers nothing. *)
+      let drops = ref 0 in
+      let events =
+        In_channel.with_open_bin file (fun ic ->
+            let _, src =
+              Codec.read ~path:file ~on_corrupt:(`Skip (fun _ -> incr drops)) ic
+            in
+            Vec.length (decode_source src))
+      in
+      Alcotest.(check (pair int int)) (name ^ ": read ~Skip") (1, 0)
+        (!drops, events);
+      let drops = ref 0 in
+      let net =
+        Net.create ~salvage:true
+          {
+            Net.on_batch =
+              (fun _ -> Alcotest.failf "%s: events delivered" name);
+            on_define = (fun _ _ -> ());
+            on_trace_end = ignore;
+            on_drop = (fun _ -> incr drops);
+          }
+      in
+      match
+        Net.feed net (Bytes.of_string s) ~pos:0 ~len:(String.length s);
+        Net.close net
+      with
+      | () ->
+        Alcotest.(check bool)
+          (name ^ ": salvage drops a framed chunk")
+          false v1;
+        Alcotest.(check int) (name ^ ": Trace_net ~salvage drops") 1 !drops
+      | exception Stream.Decode_error _ ->
+        (* Bare v1 records offer no boundary to salvage at. *)
+        Alcotest.(check bool) (name ^ ": only v1 stays fatal") true v1)
+    hostile_traces;
+  Sys.remove file
+
 let suite =
   [
     event_round_trip;
@@ -619,8 +811,8 @@ let suite =
     Alcotest.test_case "out-of-range thread/lock ids rejected at the decode edge"
       `Quick rejects_bad_ids;
     Alcotest.test_case "shard index round trip" `Quick shard_index_round_trip;
-    Alcotest.test_case "seek_chunk reads exactly one chunk" `Quick
-      seek_chunk_reads_one_chunk;
+    Alcotest.test_case "chunk_session reads exactly one chunk" `Quick
+      chunk_session_reads_one_chunk;
     Alcotest.test_case "index-less and indexed files interoperate" `Quick
       index_compat;
     Alcotest.test_case "corrupt shard index names file and offset" `Quick
@@ -631,4 +823,8 @@ let suite =
       rejects_noncanonical_varints;
     Alcotest.test_case "chunk checksum mismatches are caught and salvageable"
       `Quick checksum_mismatch_detected;
+    Alcotest.test_case "every reader accepts the same bytes, every version"
+      `Quick one_acceptance_set;
+    Alcotest.test_case "hostile name lengths are decode errors" `Quick
+      hostile_name_lengths;
   ]

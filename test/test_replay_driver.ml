@@ -144,6 +144,28 @@ let keep_going_salvages () =
       Alcotest.(check bool) "tools still ran on the salvaged stream" true
         (r.tool_runs <> []))
 
+(* A hostile name length is a per-file decode failure — the CLI's
+   "cannot replay" and exit 2 — and under --keep-going exactly one drop,
+   never an exception escaping the driver. *)
+let hostile_name_lengths () =
+  with_files 1 (fun files ->
+      let file = List.hd files in
+      List.iter
+        (fun (name, s) ->
+          Out_channel.with_open_bin file (fun oc -> output_string oc s);
+          let result = Driver.replay ~now [ file ] in
+          Alcotest.(check bool) (name ^ ": run marked failed") true
+            result.failed;
+          Alcotest.(check bool) (name ^ ": file reports its error") true
+            ((report_for result file).error <> None);
+          let result = Driver.replay ~now ~keep_going:true [ file ] in
+          let r = report_for result file in
+          Alcotest.(check (pair int int))
+            (name ^ ": --keep-going drops once, replays nothing")
+            (1, 0)
+            (List.length r.drops, r.events))
+        Test_codec.hostile_traces)
+
 let suite =
   [
     Alcotest.test_case "two files, one corrupt: isolation" `Quick
@@ -152,4 +174,6 @@ let suite =
       corrupt_tail_buffers_summaries;
     Alcotest.test_case "--keep-going salvages with accurate drops" `Quick
       keep_going_salvages;
+    Alcotest.test_case "hostile name lengths fail the file cleanly" `Quick
+      hostile_name_lengths;
   ]

@@ -274,37 +274,51 @@ let test_net_salvage_drops_chunk () =
   Alcotest.(check bool) "no events invented" true
     (List.length c.lines < List.length expected_lines)
 
-(* The version-1 record batch is made by the first v1 header: a v2 or
-   v3 connection never carries it.  A batch size of 200k events makes
-   the difference (800k words) unmistakable next to the rest of the
-   decoder. *)
-let test_net_v1_batch_lazy () =
-  let v1_words = 4 * 200_000 in
-  let reachable ~version =
-    let cb =
-      {
-        Trace_net.on_batch = ignore;
-        on_define = (fun _ _ -> ());
-        on_trace_end = ignore;
-        on_drop = ignore;
-      }
-    in
-    let net = Trace_net.create ~batch_size:200_000 cb in
-    let s = trace_bytes ~version in
-    Trace_net.feed net (Bytes.of_string s) ~pos:0 ~len:(String.length s);
+(* One batch serves every version.  A strict decoder fills its
+   [batch_size] batch — made at the first decoded record — and delivers
+   it per fill, so after a full trace a connection holds that batch, the
+   pending bytes and a cursor: no whole-chunk stage sized by the frame,
+   and for version 3 no 64k-entry register tables.  The trace (mysqlslap,
+   ~109k events in 64 KiB slices) fills whole 64 KiB frames. *)
+let bounded_run =
+  lazy
+    (let spec = Option.get (Registry.find "mysqlslap") in
+     Workload.run_spec spec ~threads:4 ~scale:400 ~seed:1)
+
+let test_net_bounded_batch () =
+  let cb =
+    {
+      Trace_net.on_batch = ignore;
+      on_define = (fun _ _ -> ());
+      on_trace_end = ignore;
+      on_drop = ignore;
+    }
+  in
+  let reachable ?batch_size s =
+    let net = Trace_net.create ?batch_size cb in
+    feed_in_slices net s ~slice:65536;
     Trace_net.close net;
     Obj.reachable_words (Obj.repr net)
   in
   List.iter
     (fun version ->
-      let w = reachable ~version in
-      if w >= v1_words then
-        Alcotest.failf "v%d decoder holds %d words: a v1 batch was made"
+      let s =
+        Codec.to_string ~format_version:version
+          (Lazy.force bounded_run).Aprof_vm.Interp.trace
+      in
+      let w = reachable s in
+      if w >= 80_000 then
+        Alcotest.failf "v%d strict decoder holds %d words after a full trace"
+          version w;
+      (* [batch_size] sizes that one batch, whatever the version. *)
+      let w = reachable ~batch_size:200_000 s in
+      if w < 4 * 200_000 then
+        Alcotest.failf "v%d decoder holds only %d words: no 200k batch?"
           version w)
-    [ 2; 3 ];
-  let w = reachable ~version:1 in
-  if w < v1_words then
-    Alcotest.failf "v1 decoder holds only %d words: no v1 batch?" w
+    [ 1; 2; 3 ];
+  let w = reachable ~batch_size:200_000 "" in
+  if w >= 4 * 200_000 then
+    Alcotest.failf "an idle connection holds %d words: batch made eagerly" w
 
 (* ---------------------------------------------------------------- *)
 (* Shard accumulators *)
@@ -655,8 +669,8 @@ let suite =
       test_net_strict_fails_on_corruption;
     Alcotest.test_case "net: salvage drops the damaged chunk only" `Quick
       test_net_salvage_drops_chunk;
-    Alcotest.test_case "net: only a v1 stream makes the v1 batch" `Quick
-      test_net_v1_batch_lazy;
+    Alcotest.test_case "net: a strict decoder holds one bounded batch" `Quick
+      test_net_bounded_batch;
     Alcotest.test_case "shards: fold/snapshot = offline merge + partition"
       `Quick test_shard_fold_equals_merge;
     Alcotest.test_case "shards: concurrent folds against snapshots" `Quick
